@@ -73,7 +73,7 @@ func TestGatewayExploreMatrixMatchesLocal(t *testing.T) {
 
 // TestGatewayExploreBackendLossMidRun kills one of two executors partway
 // through the search — the limitProxy slams the backend→gateway stream
-// after a fixed byte budget, mid-frame — and the merged report must still be
+// halfway through a result frame — and the merged report must still be
 // reflect.DeepEqual-identical to a single-process run: the survivor re-runs
 // the dead executor's batches and its dedup partition is re-seeded from the
 // coordinator's journal.
@@ -99,10 +99,12 @@ func TestGatewayExploreBackendLossMidRun(t *testing.T) {
 		t.Fatalf("single-process run: %v", err)
 	}
 
-	// Cut the proxied executor after 6k result bytes: past its hello, well
-	// before the search ends.
-	const cut = 6000
-	proxy.armLimit(cut)
+	// Cut the proxied executor inside its third result frame. Whichever
+	// dedup partition it owns, it answers the hello and at least two dedup
+	// chunks (the root seed and wave 1, or waves 1 and 2), however the
+	// load-aware dispatch spreads the expand batches, so the coordinator is
+	// still waiting on that frame when the stream dies.
+	proxy.armFrame(wire.TypeExploreResult, 2)
 
 	rep, stats, err := gw.RunExplore(spec, es)
 	if err != nil {
@@ -112,8 +114,8 @@ func TestGatewayExploreBackendLossMidRun(t *testing.T) {
 		t.Fatalf("report after mid-run backend loss differs from single-process run:\n--- single ---\n%s\n--- distributed ---\n%s",
 			golden.Format(), rep.Format())
 	}
-	if got := proxy.total(0); got != cut {
-		t.Fatalf("proxied executor was not cut mid-run: relayed %d bytes, budget %d", got, cut)
+	if !proxy.cut() {
+		t.Fatalf("proxied executor was not cut mid-run: relayed %d bytes", proxy.total(0))
 	}
 	if stats.Waves == 0 || stats.ShardBatches == 0 {
 		t.Fatalf("missing distribution stats: %+v", stats)

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -375,16 +376,27 @@ func collectSession(t *testing.T, conn net.Conn) (output []byte, traceFrames [][
 	}
 }
 
-// limitProxy is a byte-level TCP proxy that can cut the backend→client
-// direction of the *next* accepted connection after a fixed byte budget —
-// a deterministic mid-frame backend loss.
+// limitProxy is a TCP proxy for wire-framed streams that can cut the
+// backend→client direction of the *next* accepted connection — either
+// after a fixed byte budget or inside the (k+1)-th frame of one message
+// type — a deterministic mid-frame backend loss.
 type limitProxy struct {
 	lis     net.Listener
 	backend string
 
-	mu        sync.Mutex
-	nextLimit int64
-	totals    []int64
+	mu     sync.Mutex
+	next   proxyCut
+	totals []int64
+	fired  bool // an armed connection was cut
+}
+
+// proxyCut arms one connection's cut: once the byte budget is relayed
+// (bytes > 0), or halfway through the frames-th frame of type typ
+// (frames > 0).
+type proxyCut struct {
+	bytes  int64
+	typ    byte
+	frames int
 }
 
 func newLimitProxy(t *testing.T, backend string) *limitProxy {
@@ -405,7 +417,15 @@ func (p *limitProxy) addr() string { return p.lis.Addr().String() }
 // n bytes.
 func (p *limitProxy) armLimit(n int64) {
 	p.mu.Lock()
-	p.nextLimit = n
+	p.next = proxyCut{bytes: n}
+	p.mu.Unlock()
+}
+
+// armFrame cuts the next accepted connection's backend→client stream
+// halfway through its (k+1)-th frame of type typ, after k whole ones.
+func (p *limitProxy) armFrame(typ byte, k int) {
+	p.mu.Lock()
+	p.next = proxyCut{typ: typ, frames: k + 1}
 	p.mu.Unlock()
 }
 
@@ -414,6 +434,13 @@ func (p *limitProxy) total(i int) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.totals[i]
+}
+
+// cut reports whether an armed connection reached its cut.
+func (p *limitProxy) cut() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.fired
 }
 
 func (p *limitProxy) serve() {
@@ -428,8 +455,8 @@ func (p *limitProxy) serve() {
 			continue
 		}
 		p.mu.Lock()
-		limit := p.nextLimit
-		p.nextLimit = 0
+		arm := p.next
+		p.next = proxyCut{}
 		idx := len(p.totals)
 		p.totals = append(p.totals, 0)
 		p.mu.Unlock()
@@ -437,31 +464,45 @@ func (p *limitProxy) serve() {
 		go func() {
 			defer c.Close()
 			defer b.Close()
-			var n int64
-			buf := make([]byte, 4096)
-			for {
-				max := int64(len(buf))
-				if limit > 0 && limit-n < max {
-					max = limit - n
-				}
-				if max <= 0 {
-					return // budget exhausted: slam the connection
-				}
-				k, err := b.Read(buf[:max])
-				if k > 0 {
-					n += int64(k)
-					p.mu.Lock()
-					p.totals[idx] = n
-					p.mu.Unlock()
-					if _, werr := c.Write(buf[:k]); werr != nil {
-						return
-					}
-				}
-				if err != nil {
-					return
-				}
-			}
+			p.relay(idx, arm, b, c)
 		}()
+	}
+}
+
+// relay copies whole frames from b to c until the armed cut, where it
+// writes a prefix of the frame and returns, slamming the connection.
+func (p *limitProxy) relay(idx int, arm proxyCut, b io.Reader, c io.Writer) {
+	var sent int64
+	seen := 0
+	hdr := make([]byte, 6) // type, flags, big-endian payload length
+	for {
+		if _, err := io.ReadFull(b, hdr); err != nil {
+			return
+		}
+		frame := make([]byte, 6+binary.BigEndian.Uint32(hdr[2:]))
+		copy(frame, hdr)
+		if _, err := io.ReadFull(b, frame[6:]); err != nil {
+			return
+		}
+		keep := int64(len(frame))
+		if arm.frames > 0 && frame[0] == arm.typ {
+			if seen++; seen == arm.frames {
+				keep /= 2
+			}
+		}
+		if arm.bytes > 0 && sent+keep > arm.bytes {
+			keep = arm.bytes - sent
+		}
+		_, werr := c.Write(frame[:keep])
+		sent += keep
+		cut := keep < int64(len(frame)) || (arm.bytes > 0 && sent >= arm.bytes)
+		p.mu.Lock()
+		p.totals[idx] = sent
+		p.fired = p.fired || cut
+		p.mu.Unlock()
+		if werr != nil || cut {
+			return
+		}
 	}
 }
 
@@ -531,6 +572,9 @@ func TestGatewayMidTraceStreamFailover(t *testing.T) {
 	}
 	if *done != *goldenDone {
 		t.Fatalf("Done differs: %+v vs %+v", done, goldenDone)
+	}
+	if !proxy.cut() {
+		t.Fatalf("armed backend stream was not cut at byte %d", cut)
 	}
 	if got := gw.Metrics().Failovers; got != 1 {
 		t.Fatalf("gateway Failovers = %d, want 1", got)

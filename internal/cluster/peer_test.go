@@ -258,6 +258,9 @@ func TestGatewayKillMidTraceFrameFailover(t *testing.T) {
 	// Failover pass: dial list is the (doomed) proxy first, the replica
 	// second. The mid-frame cut must be invisible in the byte stream.
 	out, samples, st := runViaClient(proxy.addr() + "," + gwBAddr)
+	if !proxy.cut() {
+		t.Fatalf("armed gateway stream was not cut at byte %d", cut)
+	}
 	if !bytes.Equal(out, recOut) {
 		t.Fatalf("failed-over output differs from unmigrated run:\n--- unmigrated ---\n%s\n--- failover ---\n%s", recOut, out)
 	}

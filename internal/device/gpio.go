@@ -50,7 +50,7 @@ type GPIOPorts struct {
 	// Well-known lines resolved once: pin writes sit on the libEDB
 	// watchpoint fast path, where a map probe per edge is measurable.
 	marker0, marker1, debugSig *gpioLine
-	subs  []func(GPIOEdge)
+	subs                       []func(GPIOEdge)
 
 	// version increments on every level change, including the silent reset
 	// at reboot. Observers (EDB's leakage model) use it to cache derived

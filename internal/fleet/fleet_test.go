@@ -14,11 +14,26 @@ import (
 	"repro/internal/units"
 )
 
+// goldenTags is the golden mix's size: tags 0–8 cycle through the
+// program × harvester combinations below, tag 9 wedges on a memory fault,
+// and tag 10 sits out of harvesting range.
+const goldenTags = 11
+
 // testProgram builds tag i's firmware: a mix of burst-atomic Go apps and
-// sliceable ISA programs, including one that halts (Completed) and one that
-// spins forever (DeadlineHit), so every phase of the state machine is
-// exercised.
+// sliceable ISA programs, including one that halts (Completed), one that
+// spins forever (DeadlineHit), and one that faults on every boot (the
+// wedged-MCU burn, cut by slice boundaries), so every phase of the
+// Runner's cycle is exercised.
 func testProgram(i int) device.Program {
+	if i == 9 {
+		return isa.NewProgram("counts-then-faults", `
+main:	mov #0, r5
+loop:	add #1, r5
+	cmp #2000, r5
+	jne loop
+	mov #1, &0x0002		; wild store: the low page is unmapped
+`)
+	}
 	switch i % 3 {
 	case 0:
 		return &apps.Activity{Print: apps.NoPrint}
@@ -42,10 +57,15 @@ loop:	add #1, r5
 }
 
 // testHarvester mixes noise-free (analytic charge jumps) and noisy
-// (stepped integration) supplies across the fleet.
+// (stepped integration) supplies across the fleet. Tag 10 is placed out
+// of harvesting range, so the run deadline fires inside its first
+// charging phase.
 func testHarvester(i int, seed int64) energy.Harvester {
 	h := energy.NewRFHarvester()
 	h.Distance = units.Meters(0.8 + 0.1*float64(i%5))
+	if i == 10 {
+		h.Distance = 10
+	}
 	if i%2 == 0 {
 		h.Noise = nil
 		h.NoiseFrac = 0
@@ -74,7 +94,7 @@ func runSequential(t *testing.T, i int, seed int64, duration units.Seconds) flee
 // Rig runs, at every worker count.
 func TestFleetMatchesSequential(t *testing.T) {
 	const (
-		n        = 9
+		n        = goldenTags
 		seed     = 42
 		duration = units.Seconds(2)
 	)
@@ -111,7 +131,7 @@ func TestFleetMatchesSequential(t *testing.T) {
 func TestFleetSliceInvariance(t *testing.T) {
 	run := func(slice units.Seconds) *fleet.Result {
 		res, err := fleet.Run(fleet.Config{
-			Tags:         6,
+			Tags:         goldenTags,
 			Duration:     1,
 			Slice:        slice,
 			Seed:         7,

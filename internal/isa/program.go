@@ -187,24 +187,18 @@ func (p *Program) mapPorts(d *device.Device) {
 	}})
 }
 
-// Main implements device.Program.
+// Main implements device.Program: a power-on reset, then execution until
+// the image halts or a terminal panic unwinds it.
 func (p *Program) Main(env *device.Env) {
-	// Power-on reset: fresh register file, PC at the entry vector. The
-	// volatile stack in SRAM was cleared by the reboot.
 	p.ResetCPU()
-	for !p.cpu.halted {
-		if err := p.cpu.RunChain(env); err != nil {
-			// Executing garbage (corrupted code or wild PC): the MCU
-			// wedges like any other fault.
-			panic(&device.MemoryFault{At: env.Now(), Fault: &memsim.Fault{Addr: memsim.Addr(p.cpu.R[PC])}})
-		}
-	}
+	p.StepUntil(env, sim.Never)
 }
 
 // ResetCPU performs the power-on reset Main starts with: fresh register
-// file, PC at the entry vector, stack at the top of SRAM. Time-sliced
-// executors (internal/fleet) call it once per reboot and then drive the CPU
-// through StepUntil instead of a single Main call.
+// file, PC at the entry vector, stack at the top of SRAM (the volatile
+// stack in SRAM was cleared by the reboot). device.Runner calls it once
+// per reboot and then drives the CPU through StepUntil, which lets a
+// time-sliced caller pause the program at any slice boundary.
 func (p *Program) ResetCPU() {
 	p.cpu.Reset(p.img.Entry, p.stackTop)
 }
@@ -221,6 +215,8 @@ func (p *Program) StepUntil(env *device.Env, limit sim.Cycles) bool {
 			return false
 		}
 		if err := p.cpu.RunChain(env); err != nil {
+			// Executing garbage (corrupted code or wild PC): the MCU
+			// wedges like any other fault.
 			panic(&device.MemoryFault{At: env.Now(), Fault: &memsim.Fault{Addr: memsim.Addr(p.cpu.R[PC])}})
 		}
 	}

@@ -123,8 +123,8 @@ func templateKey(s Spec) string {
 
 // PoolMetrics counts how sessions were served.
 type PoolMetrics struct {
-	WarmForks      uint64 // sessions served from a template fork
-	SparePops      uint64 // …of which came from a pre-forked spare
+	WarmForks          uint64 // sessions served from a template fork
+	SparePops          uint64 // …of which came from a pre-forked spare
 	ColdBoots          uint64 // sessions simulated from cycle 0
 	TemplatesBuilt     uint64
 	TemplatesInstalled uint64 // externally built templates adopted via Install

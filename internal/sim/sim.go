@@ -20,6 +20,9 @@ import (
 // Cycles counts MCU clock cycles of simulated time.
 type Cycles uint64
 
+// Never is a cycle the clock cannot reach: a stop cycle meaning "no limit".
+const Never = Cycles(^uint64(0))
+
 // DefaultClockHz is the default simulated MCU clock: 4 MHz, matching the
 // WISP 5 configuration in the paper's evaluation (§5.1).
 const DefaultClockHz = 4_000_000
