@@ -21,7 +21,6 @@ package console
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -49,9 +48,10 @@ type Console struct {
 	// buf backs out when no writer has been injected.
 	buf *strings.Builder
 
-	// lastEvent tracks how much of the event log each trace command has
-	// already printed.
-	lastEvent map[string]int
+	// lastEvent is, per trace stream, the absolute sequence number
+	// (Dropped + index) of the first event not yet printed, so it stays
+	// valid when the log discards its oldest events.
+	lastEvent map[string]uint64
 
 	// explore, when injected (SetExplore), handles the `explore` command —
 	// the exhaustive power-failure checker lives above the console's
@@ -63,7 +63,7 @@ type Console struct {
 // board's console sink (printf output, assert notifications).
 func New(e *edb.EDB) *Console {
 	buf := &strings.Builder{}
-	c := &Console{e: e, out: buf, buf: buf, lastEvent: make(map[string]int)}
+	c := &Console{e: e, out: buf, buf: buf, lastEvent: make(map[string]uint64)}
 	e.SetConsoleSink(c.sink)
 	return c
 }
@@ -302,10 +302,16 @@ func (c *Console) traceCmd(args []string) (string, error) {
 	for _, k := range kinds {
 		wanted[k] = true
 	}
-	evs := c.e.Events().Events
-	start := c.lastEvent[stream]
-	if start > len(evs) {
+	log := c.e.Events()
+	evs := log.Events
+	// Events discarded before this stream printed them are gone; a
+	// position past the retained window (the log was restored to an
+	// earlier point) has nothing new to print.
+	start := len(evs)
+	if seq := c.lastEvent[stream]; seq < log.Dropped {
 		start = 0
+	} else if seq-log.Dropped < uint64(len(evs)) {
+		start = int(seq - log.Dropped)
 	}
 	var b strings.Builder
 	n := 0
@@ -315,7 +321,7 @@ func (c *Console) traceCmd(args []string) (string, error) {
 			n++
 		}
 	}
-	c.lastEvent[stream] = len(evs)
+	c.lastEvent[stream] = log.Dropped + uint64(len(evs))
 	fmt.Fprintf(&b, "(%d %s events)\n", n, stream)
 	return b.String(), nil
 }
@@ -420,17 +426,9 @@ func (c *Console) statusCmd() (string, error) {
 	fmt.Fprintf(&b, "Vcap (ADC): %s\n", c.e.LastReading())
 	fmt.Fprintf(&b, "sessions=%d asserts=%d breakpoints=%d guards=%d printfs=%d save/restores=%d\n",
 		st.Sessions, st.Asserts, st.BreakHits, st.Guards, st.Printfs, st.SaveRestores)
-	kinds := map[string]int{}
-	for _, ev := range c.e.Events().Events {
-		kinds[ev.Kind]++
-	}
-	names := make([]string, 0, len(kinds))
-	for k := range kinds {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&b, "  events[%s] = %d\n", k, kinds[k])
+	log := c.e.Events()
+	for _, k := range log.Kinds() {
+		fmt.Fprintf(&b, "  events[%s] = %d\n", k, log.Count(k))
 	}
 	return b.String(), nil
 }

@@ -126,6 +126,7 @@ type EDB struct {
 	vcapTrace    *trace.Series
 	vregTrace    *trace.Series
 	events       *trace.Log
+	gpioKinds    map[string]string // GPIO line -> interned "gpio:<line>" event kind
 	watchHits    []WatchpointHit
 	watchEnabled map[int]bool
 	rfDecoder    func([]byte) string
@@ -213,6 +214,7 @@ func New(cfg Config) *EDB {
 		events:       events,
 		watchEnabled: make(map[int]bool),
 		breaks:       make(map[int]*Breakpoint),
+		gpioKinds:    make(map[string]string),
 	}
 	for _, c := range circuit.EDBConnections() {
 		e.conn = append(e.conn, c.Instantiate(rng.Split("conn:"+c.Name)))
@@ -528,7 +530,13 @@ func (e *EDB) onGPIO(edge device.GPIOEdge) {
 	if edge.Level {
 		arg = 1
 	}
-	e.events.Add(trace.Event{At: edge.At, Kind: "gpio:" + edge.Line, Arg: arg})
+	kind, ok := e.gpioKinds[edge.Line]
+	if !ok {
+		// Interned per line: the edge path allocates nothing once warm.
+		kind = "gpio:" + edge.Line
+		e.gpioKinds[edge.Line] = kind
+	}
+	e.events.Add(trace.Event{At: edge.At, Kind: kind, Arg: arg})
 }
 
 // MarkerEdge implements device.Debugger: decode a watchpoint id from the

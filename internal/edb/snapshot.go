@@ -57,8 +57,7 @@ func (e *EDB) RestoreSnapshot(s *Snapshot) {
 	e.rng.RestoreState(s.RNG)
 	e.adc.RestoreRNGState(s.ADCRNG)
 	e.lastReading = s.LastReading
-	e.events.Events = append(e.events.Events[:0], s.Events...)
-	e.events.Dropped = s.EventsDropped
+	e.events.Restore(s.Events, s.EventsDropped)
 	e.watchHits = append(e.watchHits[:0], s.WatchHits...)
 	e.stats = s.Stats
 	if e.vcapTrace != nil && s.Vcap != nil {

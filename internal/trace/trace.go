@@ -102,13 +102,26 @@ func (e Event) String() string {
 // Log is an event stream. With Limit > 0 it behaves as a ring: once full,
 // the oldest events are discarded (Dropped counts them), bounding memory
 // for long passive-monitoring sessions.
+//
+// The log keeps a per-kind count of its retained events, so Count and
+// Kinds cost O(kinds) rather than O(events). The index catches up lazily
+// from a watermark, leaving Add a plain append on the hot path.
 type Log struct {
-	Name   string
+	Name string
+	// Events holds the retained events, oldest first. It is read-only
+	// outside Add and Restore: writing it directly would leave the
+	// per-kind index stale.
 	Events []Event
 	// Limit bounds the retained events (0 = unbounded).
 	Limit int
-	// Dropped counts events discarded to honor Limit.
+	// Dropped counts events discarded to honor Limit; the event at
+	// Events[i] is the (Dropped+i)-th one ever added.
 	Dropped uint64
+
+	// kinds counts the events of Events[:counted] by kind; a kind whose
+	// count falls to 0 is deleted.
+	kinds   map[string]int
+	counted int
 }
 
 // NewLog returns an empty unbounded event log.
@@ -122,24 +135,63 @@ func (l *Log) Add(e Event) {
 		if drop < 1 {
 			drop = 1
 		}
+		// Only events below the watermark were counted; uncount those.
+		n := min(drop, l.counted)
+		for _, ev := range l.Events[:n] {
+			if l.kinds[ev.Kind]--; l.kinds[ev.Kind] == 0 {
+				delete(l.kinds, ev.Kind)
+			}
+		}
+		l.counted -= n
 		l.Dropped += uint64(drop)
 		l.Events = append(l.Events[:0], l.Events[drop:]...)
 	}
 	l.Events = append(l.Events, e)
 }
 
-// Count returns the number of events of the given kind ("" counts all).
+// Restore replaces the log's contents with a copy of events, dropped of
+// which were discarded before them (a snapshot's log), and resets the
+// per-kind index.
+func (l *Log) Restore(events []Event, dropped uint64) {
+	l.Events = append(l.Events[:0], events...)
+	l.Dropped = dropped
+	clear(l.kinds)
+	l.counted = 0
+}
+
+// index brings the per-kind counts up to date with the retained events.
+func (l *Log) index() {
+	if l.counted == len(l.Events) {
+		return
+	}
+	if l.kinds == nil {
+		l.kinds = make(map[string]int)
+	}
+	for _, e := range l.Events[l.counted:] {
+		l.kinds[e.Kind]++
+	}
+	l.counted = len(l.Events)
+}
+
+// Count returns the number of retained events of the given kind ("" counts
+// all).
 func (l *Log) Count(kind string) int {
 	if kind == "" {
 		return len(l.Events)
 	}
-	n := 0
-	for _, e := range l.Events {
-		if e.Kind == kind {
-			n++
-		}
+	l.index()
+	return l.kinds[kind]
+}
+
+// Kinds returns the kinds of the retained events, sorted.
+func (l *Log) Kinds() []string {
+	l.index()
+	names := make([]string, 0, len(l.kinds))
+	for k := range l.kinds {
+		names = append(names, k)
 	}
-	return n
+	sort.Strings(names)
+	return names
 }
 
 // Filter returns the events of the given kind.

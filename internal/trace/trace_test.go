@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -195,6 +196,95 @@ func TestLogLimitRing(t *testing.T) {
 	for i := 1; i < len(l.Events); i++ {
 		if l.Events[i].Arg <= l.Events[i-1].Arg {
 			t.Fatal("order broken")
+		}
+	}
+}
+
+// recount is the index's oracle: a full scan of the retained events.
+func recount(l *Log) map[string]int {
+	m := map[string]int{}
+	for _, e := range l.Events {
+		m[e.Kind]++
+	}
+	return m
+}
+
+// TestLogCountIndexMatchesRecount drives random Add, Count, ring-discard
+// and Restore sequences and checks, at random points (so the lazy
+// watermark lags by varying amounts when the ring discards), that the
+// per-kind index agrees with a full recount for every kind.
+func TestLogCountIndexMatchesRecount(t *testing.T) {
+	kinds := []string{"gpio:app-pin", "uart", "assert", "watchpoint", "rare"}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewLog("prop")
+		l.Limit = rng.Intn(12) // 0 = unbounded; small limits discard often
+		type snap struct {
+			events  []Event
+			dropped uint64
+		}
+		var snaps []snap
+		added := uint64(0)
+		check := func(step int) {
+			t.Helper()
+			want := recount(l)
+			for _, k := range kinds {
+				if got := l.Count(k); got != want[k] {
+					t.Fatalf("seed %d step %d: Count(%q) = %d, recount %d", seed, step, k, got, want[k])
+				}
+			}
+			names := make([]string, 0, len(want))
+			for k := range want {
+				names = append(names, k)
+			}
+			sort.Strings(names)
+			if got := l.Kinds(); strings.Join(got, ",") != strings.Join(names, ",") {
+				t.Fatalf("seed %d step %d: Kinds() = %v, want %v", seed, step, got, names)
+			}
+			if l.Count("") != len(l.Events) || l.Dropped+uint64(len(l.Events)) != added {
+				t.Fatalf("seed %d step %d: %d retained + %d dropped != %d added",
+					seed, step, len(l.Events), l.Dropped, added)
+			}
+		}
+		for step := 0; step < 600; step++ {
+			switch r := rng.Intn(40); {
+			case r < 28:
+				k := kinds[rng.Intn(len(kinds)-1)]
+				if rng.Intn(16) == 0 {
+					k = "rare"
+				}
+				l.Add(Event{At: sim.Cycles(added), Kind: k})
+				added++
+			case r < 31:
+				l.Count(kinds[rng.Intn(len(kinds))]) // catch the watermark up
+			case r < 34:
+				snaps = append(snaps, snap{append([]Event(nil), l.Events...), l.Dropped})
+			case r < 36:
+				if len(snaps) > 0 {
+					s := snaps[rng.Intn(len(snaps))]
+					l.Restore(s.events, s.dropped)
+					added = s.dropped + uint64(len(s.events))
+				}
+			default:
+				check(step)
+			}
+		}
+		check(600)
+	}
+}
+
+// BenchmarkLogAdd measures appending one event to a bounded log (amortized
+// ring discards included) whose index is brought up to date every 4096
+// events, as a console typing `status` now and then would.
+func BenchmarkLogAdd(b *testing.B) {
+	l := NewLog("bench")
+	l.Limit = 1 << 16
+	kinds := []string{"gpio:app-pin", "gpio:led", "uart", "watchpoint"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Add(Event{At: sim.Cycles(i), Kind: kinds[i&3], Arg: i & 1})
+		if i&4095 == 0 {
+			l.Count("uart")
 		}
 	}
 }
