@@ -220,8 +220,9 @@ type imageEntry struct {
 // imageCacheCap bounds the template-image cache; the least-recently-used
 // entry is evicted beyond it (the cache is an optimization, not a
 // correctness requirement — a resume without an image cold-replays
-// byte-identically).
-const imageCacheCap = 16
+// byte-identically). It matches the backends' warm pools, which keep as
+// many spec families.
+const imageCacheCap = scenario.PoolCap
 
 // New builds a gateway; zero-valued config fields take their defaults.
 func New(cfg Config) *Gateway {

@@ -187,6 +187,42 @@ func TestVcapTraceLifecycle(t *testing.T) {
 	}
 }
 
+// TestSnapshotEmptyTraceRestoresEmpty: a snapshot taken while tracing is
+// on but before the first sample must restore an empty trace, not keep
+// the samples recorded after it (which would be dated in the future).
+func TestSnapshotEmptyTraceRestoresEmpty(t *testing.T) {
+	d, e := poweredRig(t, 13)
+	vcap, vreg := e.TraceVcap(), e.TraceVreg()
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.AdvanceIdle(units.MilliSeconds(200))
+	if vcap.Len() == 0 || vreg.Len() == 0 {
+		t.Fatal("traces must accumulate")
+	}
+	e.RestoreSnapshot(snap)
+	if vcap.Len() != 0 || vreg.Len() != 0 {
+		t.Fatalf("restored traces hold %d/%d samples, want 0/0", vcap.Len(), vreg.Len())
+	}
+
+	// A snapshot taken with tracing off leaves the restoring board's
+	// traces alone.
+	e.StopTraceVcap()
+	e.StopTraceVreg()
+	off, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vcap = e.TraceVcap()
+	d.AdvanceIdle(units.MilliSeconds(5))
+	n := vcap.Len()
+	e.RestoreSnapshot(off)
+	if n == 0 || vcap.Len() != n {
+		t.Fatalf("tracing-off snapshot changed the trace: %d -> %d samples", n, vcap.Len())
+	}
+}
+
 func TestRFDecoderLabelsEvents(t *testing.T) {
 	d, e := poweredRig(t, 9)
 	e.SetRFDecoder(func(bits []byte) string { return "LABEL" })

@@ -18,12 +18,16 @@ type Snapshot struct {
 	RNG           sim.RNGState
 	ADCRNG        sim.RNGState
 	LastReading   units.Volts
-	Vcap          []trace.Sample // nil when Vcap tracing is off
-	Vreg          []trace.Sample // nil when Vreg tracing is off
+	Vcap          []trace.Sample // empty unless VcapOn
+	Vreg          []trace.Sample // empty unless VregOn
 	Events        []trace.Event
 	EventsDropped uint64
 	WatchHits     []WatchpointHit
 	Stats         ActiveStats
+	// VcapOn/VregOn record whether each trace was enabled: an enabled
+	// but still empty trace restores as empty, while a disabled one
+	// leaves the restoring board's trace alone.
+	VcapOn, VregOn bool
 }
 
 // Snapshot captures EDB's mutable state. Like device.Snapshot it is only
@@ -43,9 +47,11 @@ func (e *EDB) Snapshot() (*Snapshot, error) {
 		Stats:         e.stats,
 	}
 	if e.vcapTrace != nil {
+		s.VcapOn = true
 		s.Vcap = append([]trace.Sample(nil), e.vcapTrace.Samples...)
 	}
 	if e.vregTrace != nil {
+		s.VregOn = true
 		s.Vreg = append([]trace.Sample(nil), e.vregTrace.Samples...)
 	}
 	return s, nil
@@ -60,10 +66,10 @@ func (e *EDB) RestoreSnapshot(s *Snapshot) {
 	e.events.Restore(s.Events, s.EventsDropped)
 	e.watchHits = append(e.watchHits[:0], s.WatchHits...)
 	e.stats = s.Stats
-	if e.vcapTrace != nil && s.Vcap != nil {
+	if e.vcapTrace != nil && s.VcapOn {
 		e.vcapTrace.Samples = append(e.vcapTrace.Samples[:0], s.Vcap...)
 	}
-	if e.vregTrace != nil && s.Vreg != nil {
+	if e.vregTrace != nil && s.VregOn {
 		e.vregTrace.Samples = append(e.vregTrace.Samples[:0], s.Vreg...)
 	}
 	e.leakValid = false

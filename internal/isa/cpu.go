@@ -63,6 +63,12 @@ type CPU struct {
 	dcValid  []bool
 	dcExec   []execFn
 	dcFused  []int32 // successor word index of a fused ALU pair, -1 if none
+
+	// decoded holds Step's freshly decoded instruction on a cache miss,
+	// so decoding never allocates. An ISR can run Steps of its own from
+	// inside an instruction's env calls, so interrupt-level Steps decode
+	// into the second slot; ISRs do not nest.
+	decoded [2]Inst
 }
 
 // execFn is a selected instruction handler: the threaded-dispatch unit.
@@ -216,22 +222,31 @@ func (c *CPU) Step(env *device.Env) error {
 			c.dcExec[i](c, env, inst)
 			return nil
 		}
-		inst, err := c.fetchDecode(env, pc0)
+		inst, err := c.decode(env, pc0)
 		if err != nil {
 			return err
 		}
 		if i+inst.Words <= len(c.dcInst) {
-			c.fillEntry(i, inst)
+			c.fillEntry(i, *inst)
 		}
-		inst.exec()(c, env, &inst)
+		inst.exec()(c, env, inst)
 		return nil
 	}
-	inst, err := c.fetchDecode(env, pc0)
+	inst, err := c.decode(env, pc0)
 	if err != nil {
 		return err
 	}
-	inst.exec()(c, env, &inst)
+	inst.exec()(c, env, inst)
 	return nil
+}
+
+// decode fetches and decodes the instruction at pc0 into this interrupt
+// level's scratch slot.
+func (c *CPU) decode(env *device.Env, pc0 uint16) (*Inst, error) {
+	inst := &c.decoded[min(c.intDepth, 1)]
+	var err error
+	*inst, err = c.fetchDecode(env, pc0)
+	return inst, err
 }
 
 // RunChain executes at least one instruction and then keeps going through

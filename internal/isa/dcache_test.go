@@ -133,3 +133,49 @@ data2:	.word 0
 		t.Fatalf("cached execution diverged:\nplain:  %+v\ncached: %+v", plain, cached)
 	}
 }
+
+// TestStepDecodeAllocFree: a decode-cache miss — forced here by rewriting
+// the cached instruction's extension word, the invalidation path — and an
+// uncached fetch (outside the cached region) decode into the CPU's scratch
+// slot, not the heap.
+func TestStepDecodeAllocFree(t *testing.T) {
+	d, env, c := cpuRig(t)
+	img, err := Assemble(".org 0x4500\nmain: mov #0x1111, r5\nhang: jmp hang\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(t, d, img.Org, img.Words...)
+	c.EnableDecodeCache(d.FRAM, img.Org, img.Size())
+	stackTop := uint16(memsim.SRAMBase) + uint16(memsim.SRAMSize)
+
+	v := uint16(0)
+	if n := testing.AllocsPerRun(100, func() {
+		v++
+		if err := d.Mem.WriteWord(memsim.Addr(img.Org)+2, v); err != nil {
+			t.Fatal(err)
+		}
+		c.Reset(img.Entry, stackTop)
+		if err := c.Step(env); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Step on an invalidated entry: %v allocs, want 0", n)
+	}
+	if c.R[5] != v {
+		t.Fatalf("r5 = %#x, want %#x: stale decode", c.R[5], v)
+	}
+
+	sram := uint16(memsim.SRAMBase)
+	load(t, d, sram, img.Words[:2]...)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Reset(sram, stackTop)
+		if err := c.Step(env); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("uncached Step: %v allocs, want 0", n)
+	}
+	if c.R[5] != 0x1111 {
+		t.Fatalf("r5 = %#x after uncached step", c.R[5])
+	}
+}

@@ -84,25 +84,31 @@ func (p *Pool) Install(t *Template) {
 }
 
 // Template returns the pool's template for the spec family, or nil if none
-// has been built yet. It never triggers a build.
+// has been built yet. It is a pure lookup: it never triggers a build or
+// makes room for the family.
 func (p *Pool) Template(spec Spec) *Template {
-	e := p.entry(templateKey(spec.withDefaults()))
+	e := p.lookup(templateKey(spec.withDefaults()))
+	if e == nil {
+		return nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.tmpl
 }
 
-// Invalidate drops the template (and pre-forked spares) for the spec
-// family. The next session cold-boots and rebuilds; forks already handed
-// out keep running. Negative "untemplatable" verdicts are cleared too, so
-// the family gets a fresh templating attempt.
+// Invalidate drops the spec family from the pool with its template and
+// pre-forked spares. The next session cold-boots and rebuilds; forks
+// already handed out keep running. Negative "untemplatable" verdicts go
+// too, so the family gets a fresh templating attempt.
 func (p *Pool) Invalidate(spec Spec) {
-	e := p.entry(templateKey(spec.withDefaults()))
-	e.mu.Lock()
-	e.tmpl = nil
-	e.dead = false
-	e.mu.Unlock()
-	drainSpares(e)
+	key := templateKey(spec.withDefaults())
+	p.mu.Lock()
+	e := p.entries[key]
+	delete(p.entries, key)
+	p.mu.Unlock()
+	if e != nil {
+		e.retire()
+	}
 }
 
 func drainSpares(e *poolEntry) {

@@ -10,11 +10,13 @@ import (
 
 // TestPoolConcurrentForkInvalidate hammers one spec family with concurrent
 // sessions while another goroutine repeatedly invalidates and reinstalls
-// the template. Every session must still complete with byte-identical
-// output — invalidation only changes how a session starts (warm or cold),
-// never what it computes. Run under -race this is the satellite coverage
-// for Pool's locking; single-threaded tests never caught ordering bugs
-// between Fork, Install and Invalidate.
+// the template and installs templates of PoolCap other families, so LRU
+// eviction keeps dropping the hammered family too. Every session must
+// still complete with byte-identical output — invalidation and eviction
+// only change how a session starts (warm or cold), never what it
+// computes. Run under -race this is the satellite coverage for Pool's
+// locking; single-threaded tests never caught ordering bugs between Fork,
+// Install, Invalidate and eviction.
 func TestPoolConcurrentForkInvalidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation load")
@@ -28,6 +30,13 @@ func TestPoolConcurrentForkInvalidate(t *testing.T) {
 	tmpl, err := scenario.NewTemplate(spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	others := make([]*scenario.Template, scenario.PoolCap)
+	for i := range others {
+		if others[i], err = scenario.NewTemplate(scenario.Spec{App: "busy", Seconds: 1, Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	p := scenario.NewPool(2)
@@ -57,6 +66,9 @@ func TestPoolConcurrentForkInvalidate(t *testing.T) {
 				p.Install(tmpl)
 			}
 			_ = p.Template(spec)
+			for _, o := range others {
+				p.Install(o)
+			}
 		}
 	}()
 
@@ -66,6 +78,9 @@ func TestPoolConcurrentForkInvalidate(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if m := p.Metrics(); m.TemplatesEvicted == 0 || m.Families > scenario.PoolCap {
+		t.Fatalf("churn must evict and stay bounded: %+v", m)
 	}
 	for i := range outs {
 		if outs[i].String() != golden.String() {

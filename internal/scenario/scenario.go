@@ -171,6 +171,11 @@ func buildRig(spec Spec) (*core.Rig, device.Program, error) {
 	return rig, prog, nil
 }
 
+// traceWindow is the energy-trace span a traced session renders and
+// streams: the run's final 150 ms. Traced rigs keep only this horizon of
+// samples, so a session's trace memory does not grow with its duration.
+const traceWindow = 150 * core.Millisecond
+
 // execute runs an assembled rig to the spec's absolute deadline. Cold rigs
 // start at cycle 0, so the deadline and origin match what RunFor would
 // use; warm-forked rigs resume mid-charge at the snapshot cycle but share
@@ -181,12 +186,14 @@ func execute(rig *core.Rig, prog device.Program, spec Spec, out io.Writer, promp
 	rig.Console.SetOutput(out)
 	rig.Console.SetExplore(exploreHandler(spec))
 	var vcap *trace.Series
+	window := rig.Device.Clock.ToCycles(traceWindow)
 	if spec.Trace {
 		// A warm fork arrives with tracing already enabled (and the
 		// charge-phase samples restored); enabling it again would drop them.
 		if vcap = rig.EDB.VcapSeries(); vcap == nil {
 			vcap = rig.EDB.TraceVcap()
 		}
+		vcap.Keep = window
 	}
 
 	rig.EDB.OnInteractive(func(s *edb.Session) {
@@ -217,9 +224,9 @@ func execute(rig *core.Rig, prog device.Program, spec Spec, out io.Writer, promp
 	if vcap != nil {
 		fmt.Fprintln(out, "\n==== energy trace (last 150 ms) ====")
 		total := rig.Device.Clock.Now()
-		window := rig.Device.Clock.ToCycles(150 * core.Millisecond)
+		from := total - min(window, total) // a shorter run shows all of it
 		late := trace.NewSeries(vcap.Name, vcap.Unit)
-		late.Samples = vcap.Window(total-window, total)
+		late.Samples = append([]trace.Sample(nil), vcap.Window(from, total)...)
 		io.WriteString(out, trace.RenderASCII(late, rig.Device.Clock, 72, 12))
 		res.Vcap = late
 	}

@@ -30,6 +30,40 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 }
 
+// TestShortTracedRun: a traced run shorter than the 150 ms render window
+// shows the whole run instead of underflowing the window start (which
+// panicked, and took edbd down with it), and pool-served warm forks of the
+// same spec print the same bytes.
+func TestShortTracedRun(t *testing.T) {
+	spec := scenario.Spec{Seconds: 0.1, Trace: true}
+	var cold bytes.Buffer
+	res, err := scenario.Run(spec, &cold, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(cold.String(), "==== energy trace (last 150 ms) ====") {
+		t.Fatalf("trace section missing:\n%s", cold.String())
+	}
+	if n := res.Vcap.Len(); n == 0 || res.Vcap.Samples[0].At != 0 {
+		t.Fatalf("window must hold the whole run from cycle 0: %d samples, first %v", n, res.Vcap.Samples)
+	}
+
+	p := scenario.NewPool(1)
+	for i := 0; i < 3; i++ {
+		var out bytes.Buffer
+		if _, err := p.Run(spec, &out, nil); err != nil {
+			t.Fatal(err)
+		}
+		p.Wait()
+		if out.String() != cold.String() {
+			t.Fatalf("pool session %d diverges from the cold run", i)
+		}
+	}
+	if m := p.Metrics(); m.WarmForks != 2 {
+		t.Fatalf("later sessions must be warm forks: %+v", m)
+	}
+}
+
 // TestScriptErrorSetsExitCode: a scripted console command that fails must
 // surface as a non-zero exit code instead of being printed and swallowed.
 func TestScriptErrorSetsExitCode(t *testing.T) {

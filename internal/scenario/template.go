@@ -46,8 +46,9 @@ func NewTemplate(spec Spec) (*Template, error) {
 	}
 	if spec.Trace {
 		// Cold runs enable tracing before the first charge; the template
-		// must too, so the snapshot carries the charge-phase samples.
-		rig.EDB.TraceVcap()
+		// must too, so the snapshot carries the charge-phase samples —
+		// only the render window of them, as execute keeps.
+		rig.EDB.TraceVcap().Keep = rig.Device.Clock.ToCycles(traceWindow)
 	}
 	if !rig.Device.IdleCharge(templateWarmup) {
 		return nil, fmt.Errorf("scenario: template rig never reached turn-on")
@@ -121,6 +122,12 @@ func templateKey(s Spec) string {
 		s.App, s.AsmName, s.AsmSource, s.Assert, s.Guards, s.Print, s.Distance, s.Seed, s.Trace)
 }
 
+// PoolCap bounds the spec families a Pool keeps: past it, the
+// least-recently-used family is evicted with its template and spares. The
+// pool is an optimization, not a correctness requirement — an evicted
+// family's next session cold-boots byte-identically and rebuilds.
+const PoolCap = 16
+
 // PoolMetrics counts how sessions were served.
 type PoolMetrics struct {
 	WarmForks          uint64 // sessions served from a template fork
@@ -129,6 +136,8 @@ type PoolMetrics struct {
 	TemplatesBuilt     uint64
 	TemplatesInstalled uint64 // externally built templates adopted via Install
 	Untemplatable      uint64 // specs the pool gave up templating
+	TemplatesEvicted   uint64 // families LRU-evicted past PoolCap
+	Families           int    // spec families currently held (≤ PoolCap)
 }
 
 // forkedRig is a pre-built warm fork waiting for a session.
@@ -146,15 +155,19 @@ type poolEntry struct {
 	tmpl     *Template // nil until built
 	dead     bool      // untemplatable; serve cold forever
 	spares   chan *forkedRig
+
+	use int64 // last-use stamp, guarded by Pool.mu
 }
 
 // Pool serves scenario sessions, warm-starting them from per-spec
 // templates. The first session for a spec cold-boots while a template
 // builds in the background; later sessions fork the template, preferring
-// a pre-forked spare for near-zero start latency.
+// a pre-forked spare for near-zero start latency. It holds at most
+// PoolCap families, evicting the least recently used.
 type Pool struct {
 	mu      sync.Mutex
 	entries map[string]*poolEntry
+	clock   int64 // use-stamp source for LRU eviction
 	spares  int
 	metrics PoolMetrics
 
@@ -220,7 +233,9 @@ func (p *Pool) Wait() { p.wg.Wait() }
 func (p *Pool) Metrics() PoolMetrics {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.metrics
+	m := p.metrics
+	m.Families = len(p.entries)
+	return m
 }
 
 func (p *Pool) count(f func(*PoolMetrics)) {
@@ -229,15 +244,50 @@ func (p *Pool) count(f func(*PoolMetrics)) {
 	p.mu.Unlock()
 }
 
+// entry returns the key's entry, creating it (and evicting the least
+// recently used family past PoolCap) if absent, and marks it used.
 func (p *Pool) entry(key string) *poolEntry {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	e, ok := p.entries[key]
+	var victim *poolEntry
 	if !ok {
+		if len(p.entries) >= PoolCap {
+			var lruKey string
+			for k, v := range p.entries {
+				if victim == nil || v.use < victim.use {
+					lruKey, victim = k, v
+				}
+			}
+			delete(p.entries, lruKey)
+			p.metrics.TemplatesEvicted++
+		}
 		e = &poolEntry{spares: make(chan *forkedRig, p.spares+1)}
 		p.entries[key] = e
 	}
+	p.clock++
+	e.use = p.clock
+	p.mu.Unlock()
+	if victim != nil {
+		victim.retire()
+	}
 	return e
+}
+
+// lookup returns the key's entry, or nil; it never creates or touches one.
+func (p *Pool) lookup(key string) *poolEntry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.entries[key]
+}
+
+// retire releases an entry removed from the pool: its template and spares
+// go now rather than when the last session holding the entry finishes.
+// Sessions already forked from it keep running on their own rigs.
+func (e *poolEntry) retire() {
+	e.mu.Lock()
+	e.tmpl = nil
+	e.mu.Unlock()
+	drainSpares(e)
 }
 
 func (p *Pool) buildTemplate(e *poolEntry, spec Spec) {

@@ -80,6 +80,8 @@ type Metrics struct {
 	TemplatesBuilt     int64 // firmware templates warmed in the background
 	TemplatesInstalled int64 // foreign template images adopted from migrations
 	Untemplatable      int64 // spec families the pool gave up templating
+	TemplatesEvicted   int64 // spec families LRU-evicted from the pool
+	PoolFamilies       int64 // spec families the pool holds now (≤ scenario.PoolCap)
 }
 
 // Metrics returns a snapshot of the server's counters.
@@ -124,6 +126,8 @@ func (s *Server) Metrics() Metrics {
 		m.TemplatesBuilt = int64(pm.TemplatesBuilt)
 		m.TemplatesInstalled = int64(pm.TemplatesInstalled)
 		m.Untemplatable = int64(pm.Untemplatable)
+		m.TemplatesEvicted = int64(pm.TemplatesEvicted)
+		m.PoolFamilies = int64(pm.Families)
 	}
 	return m
 }

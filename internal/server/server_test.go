@@ -518,6 +518,68 @@ func TestTraceCodecGolden(t *testing.T) {
 	}
 }
 
+// TestShortTracedSession: a traced session shorter than the 150 ms trace
+// window once panicked the session goroutine and with it the whole
+// daemon. Its output and trace must match the local run, and the daemon
+// must go on serving: the same spec again (now a warm fork) and another.
+func TestShortTracedSession(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	short := scenario.Spec{Seconds: 0.1, Trace: true}
+	golden, res := localGolden(t, short)
+	cl, err := client.Dial(addr, client.Options{RawTrace: true})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	for i := 0; i < 2; i++ {
+		var out bytes.Buffer
+		var got []wire.TracePoint
+		cl.OnTrace = func(tr *wire.Trace) { got = append(got, tr.Samples...) }
+		if _, err := cl.Run(short, &out, nil); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if out.String() != golden {
+			t.Fatalf("session %d output differs from local:\n--- local ---\n%s\n--- remote ---\n%s", i, golden, out.String())
+		}
+		if len(got) != res.Vcap.Len() {
+			t.Fatalf("session %d streamed %d samples, local window %d", i, len(got), res.Vcap.Len())
+		}
+		for j, sm := range res.Vcap.Samples {
+			if got[j].At != uint64(sm.At) || got[j].V != sm.V {
+				t.Fatalf("session %d sample %d: got (%d, %v), local (%d, %v)", i, j, got[j].At, got[j].V, sm.At, sm.V)
+			}
+		}
+	}
+	next := testSpec(42)
+	want, _ := localGolden(t, next)
+	var out bytes.Buffer
+	if _, err := cl.Run(next, &out, nil); err != nil {
+		t.Fatalf("next session: %v", err)
+	}
+	if out.String() != want {
+		t.Fatal("next session output differs from local")
+	}
+}
+
+// TestPoolBoundedMetrics: however many spec families a daemon serves, its
+// warm pool holds at most scenario.PoolCap of them, and the metrics say so.
+func TestPoolBoundedMetrics(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	for seed := int64(1); seed <= scenario.PoolCap+3; seed++ {
+		if _, err := cl.Run(scenario.Spec{App: "busy", Seconds: 0.5, Seed: seed}, nil, nil); err != nil {
+			t.Fatalf("session %d: %v", seed, err)
+		}
+	}
+	if m := srv.Metrics(); m.PoolFamilies != scenario.PoolCap || m.TemplatesEvicted != 3 {
+		t.Fatalf("pool families %d (cap %d), evicted %d (want 3)", m.PoolFamilies, scenario.PoolCap, m.TemplatesEvicted)
+	}
+}
+
 // TestDisableTraceZ: a server configured without the codec refuses the
 // capability and streams raw chunks even to a codec-capable client.
 func TestDisableTraceZ(t *testing.T) {

@@ -20,11 +20,16 @@ type Sample struct {
 	V  float64
 }
 
-// Series is an append-only time series of scalar samples.
+// Series is an append-only time series of scalar samples, oldest first.
 type Series struct {
 	Name    string
 	Unit    string
 	Samples []Sample
+	// Keep is the retention horizon (0 = keep every sample). When set,
+	// Add may discard samples older than newest−Keep, so a long passive
+	// stream costs memory for its horizon only; Window over any range
+	// starting at or after newest−Keep is unaffected.
+	Keep sim.Cycles
 }
 
 // NewSeries returns an empty series.
@@ -32,16 +37,29 @@ func NewSeries(name, unit string) *Series {
 	return &Series{Name: name, Unit: unit}
 }
 
-// Add appends a sample.
+// Add appends a sample. With Keep set, a full slice is first compacted in
+// place rather than grown, whenever that frees at least a quarter of it:
+// the capacity settles near twice the horizon and Add stops allocating.
 func (s *Series) Add(at sim.Cycles, v float64) {
+	if s.Keep > 0 && len(s.Samples) == cap(s.Samples) && at > s.Keep {
+		cut := at - s.Keep
+		lo := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At >= cut })
+		if lo > 0 && lo >= cap(s.Samples)/4 {
+			s.Samples = s.Samples[:copy(s.Samples, s.Samples[lo:])]
+		}
+	}
 	s.Samples = append(s.Samples, Sample{At: at, V: v})
 }
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Samples) }
 
-// Window returns the samples with at in [from, to).
+// Window returns the samples with at in [from, to); an empty range
+// (from >= to) has none.
 func (s *Series) Window(from, to sim.Cycles) []Sample {
+	if from >= to {
+		return nil
+	}
 	lo := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At >= from })
 	hi := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At >= to })
 	return s.Samples[lo:hi]

@@ -26,6 +26,94 @@ func TestSeriesWindow(t *testing.T) {
 	}
 }
 
+func TestSeriesWindowEmptyRange(t *testing.T) {
+	s := NewSeries("v", "V")
+	for i := 0; i < 10; i++ {
+		s.Add(sim.Cycles(i*10), float64(i))
+	}
+	// An inverted range — what an unclamped "last 150 ms" query of a
+	// shorter run computes after unsigned underflow — must not panic.
+	if w := s.Window(1001, 1000); len(w) != 0 {
+		t.Fatalf("inverted window = %v", w)
+	}
+	if w := s.Window(30, 30); len(w) != 0 {
+		t.Fatalf("empty window = %v", w)
+	}
+}
+
+// TestSeriesKeepMatchesUnbounded is the retention contract: for any query
+// starting inside the horizon, a Series with Keep set returns the same
+// Window as one that keeps everything — also after Samples is restored to
+// an earlier prefix (a snapshot restore) and the stream resumes.
+func TestSeriesKeepMatchesUnbounded(t *testing.T) {
+	f := func(seed int64, keepRaw uint16, resume uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		keep := sim.Cycles(keepRaw%500) + 1
+		full, kept := NewSeries("v", "V"), NewSeries("v", "V")
+		kept.Keep = keep
+		var at sim.Cycles
+		add := func(n int) {
+			for i := 0; i < n; i++ {
+				at += sim.Cycles(rng.Intn(20)) // repeated timestamps too
+				v := rng.Float64()
+				full.Add(at, v)
+				kept.Add(at, v)
+			}
+		}
+		check := func() bool {
+			var lo sim.Cycles
+			if newest := full.Samples[len(full.Samples)-1].At; newest > keep {
+				lo = newest - keep
+			}
+			for q := 0; q < 50; q++ {
+				from := lo + sim.Cycles(rng.Intn(int(keep)+1))
+				to := from + sim.Cycles(rng.Intn(int(keep)+40))
+				a, b := full.Window(from, to), kept.Window(from, to)
+				if len(a) != len(b) {
+					return false
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		add(1000)
+		snapFull := append([]Sample(nil), full.Samples...)
+		snapKept := append([]Sample(nil), kept.Samples...)
+		snapAt := at
+		add(1000)
+		if !check() || len(kept.Samples) >= len(full.Samples) {
+			return false
+		}
+		full.Samples = append(full.Samples[:0], snapFull...)
+		kept.Samples = append(kept.Samples[:0], snapKept...)
+		at = snapAt
+		if !check() {
+			return false
+		}
+		add(1 + 8*int(resume))
+		return check()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkSeriesAddKeep measures appending to a series bounded to a
+// 1500-sample horizon (150 ms of 100 µs passive-mode samples): in steady
+// state compaction reuses the backing array, so Add allocates nothing.
+func BenchmarkSeriesAddKeep(b *testing.B) {
+	s := NewSeries("Vcap", "V")
+	s.Keep = 1500
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Add(sim.Cycles(i), 2.0)
+	}
+}
+
 func TestSeriesMinMax(t *testing.T) {
 	s := NewSeries("v", "V")
 	if !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {

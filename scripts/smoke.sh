@@ -105,6 +105,23 @@ if [ "$lines" -le 1 ]; then
 fi
 echo "smoke: trace streams identical across local/codec/raw ($((lines - 1)) samples)"
 
+echo "smoke: traced session shorter than the 150 ms trace window"
+# A run shorter than the render window shows all of it; this once
+# underflowed the window start and panicked the daemon.
+short="-app linkedlist -t 0.1 -seed 42 -trace"
+"$workdir/edb" $short >"$workdir/short-local.out"
+"$workdir/edb" -connect "$addr" $short >"$workdir/short-remote.out"
+if ! diff -u "$workdir/short-local.out" "$workdir/short-remote.out"; then
+    echo "smoke: FAIL — short traced remote session differs from local" >&2
+    exit 1
+fi
+if ! kill -0 "$daemon_pid" 2>/dev/null; then
+    echo "smoke: FAIL — daemon died serving a short traced session" >&2
+    cat "$workdir/edbd.log" >&2
+    exit 1
+fi
+echo "smoke: short traced session identical to local; daemon still serving"
+
 echo "smoke: checking that a failing script exits non-zero remotely"
 if "$workdir/edb" -connect "$addr" -app linkedlist -assert -t 10 -seed 42 \
         -script "not-a-command;halt" >/dev/null 2>&1; then
